@@ -701,11 +701,10 @@ def ablation_tc_lease(runner: ExperimentRunner,
         "the best lease per benchmark)",
         ["benchmark"] + [f"lease={v}" for v in leases],
     )
+    # normalised to the best lease, not to BL: only TC-RC points
     runner.prefetch(
-        [point_of(n, Protocol.DISABLED, Consistency.RC)
-         for n in COHERENT_NAMES]
-        + [point_of(n, Protocol.GTSC, Consistency.RC, lease=lease)
-           for n in COHERENT_NAMES for lease in leases])
+        [point_of(n, Protocol.TC, Consistency.RC, tc_lease=lease)
+         for n in workloads for lease in leases])
     spreads = []
     for name in workloads:
         cycles = [

@@ -26,8 +26,10 @@ parallelism cannot win.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import warnings
+from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.config import Consistency, Protocol
@@ -36,7 +38,17 @@ from repro.harness.progress import RateEstimator
 from repro.harness.runner import ExperimentRunner, Point
 from repro.sim.backend import backend_name
 from repro.stats.collector import RunStats
+from repro.trace.compiled import CompiledKernel, compile_kernel
 from repro.workloads import build_workload
+
+#: compiled traces this process built in :func:`_simulate_point`,
+#: keyed by (workload, scale, seed), least recently used first.  A
+#: serve worker runs many configs of few traces; bounded so a long
+#: service with many distinct traces does not grow without limit.
+_KERNELS: "OrderedDict[Tuple[str, float, int], CompiledKernel]" = \
+    OrderedDict()
+_KERNELS_MAX = 32
+_KERNELS_LOCK = threading.Lock()
 
 
 class SimulationJobError(RuntimeError):
@@ -62,6 +74,30 @@ class SimulationJobError(RuntimeError):
         return f"{self.args[0]} [{detail}]"
 
 
+def _kernel(workload: str, scale: float, seed: int,
+            trace_cache_dir: Optional[str]) -> CompiledKernel:
+    """The compiled trace for one workload, built at most once here.
+
+    Two threads missing the same key both build it; the traces are
+    identical and read-only, so either copy may be kept.
+    """
+    key = (workload, scale, seed)
+    with _KERNELS_LOCK:
+        kernel = _KERNELS.get(key)
+        if kernel is not None:
+            _KERNELS.move_to_end(key)
+            return kernel
+    kernel = build_workload(workload, scale=scale, seed=seed,
+                            cache_dir=trace_cache_dir)
+    if not isinstance(kernel, CompiledKernel):
+        kernel = compile_kernel(kernel)
+    with _KERNELS_LOCK:
+        _KERNELS[key] = kernel
+        if len(_KERNELS) > _KERNELS_MAX:
+            _KERNELS.popitem(last=False)
+    return kernel
+
+
 def _simulate_point(preset: str, scale: float, seed: int,
                     config_overrides: Tuple, point: Point,
                     trace_cache_dir: Optional[str] = None) -> Dict:
@@ -72,7 +108,8 @@ def _simulate_point(preset: str, scale: float, seed: int,
     same way :meth:`ExperimentRunner.base_config` does, so parent and
     worker agree on every parameter.  ``trace_cache_dir`` lets workers
     share the parent's on-disk compiled-trace cache instead of each
-    re-generating the workload.
+    re-generating the workload, and :func:`_kernel` reuses a trace
+    across the points one process runs.
 
     Any failure is re-raised as :class:`SimulationJobError` carrying
     the point's identity, chained to the original exception.
@@ -86,8 +123,7 @@ def _simulate_point(preset: str, scale: float, seed: int,
         merged.update(overrides)
         config = factory(protocol=protocol, consistency=consistency,
                          **merged)
-        kernel = build_workload(workload, scale=scale, seed=seed,
-                                cache_dir=trace_cache_dir)
+        kernel = _kernel(workload, scale, seed, trace_cache_dir)
         stats = make_gpu(config, record_accesses=False).run(kernel)
         return stats.to_dict()
     except SimulationJobError:
@@ -145,24 +181,26 @@ class ParallelRunner(ExperimentRunner):
 
     # ------------------------------------------------------------------
     def _missing(self, points: Iterable[Point]) -> list:
-        """The deduplicated points not satisfiable from any cache."""
+        """The points not satisfiable from any cache, one per run key."""
         missing = []
-        seen = set()
+        queued = set()
         for point in points:
-            if point in self._cache or point in seen:
+            if point in self._cache:
                 continue
-            if self.disk_cache is not None:
-                workload, protocol, consistency, overrides = point
-                config = self.base_config(protocol, consistency,
-                                          **dict(overrides))
-                digest = self._disk_key(workload, config)
-                stats = self.disk_cache.get(digest)
-                if stats is not None:
-                    self._cache[point] = stats
-                    self._record_run(digest, stats, point, config,
-                                     source="runner-cache")
-                    continue
-            seen.add(point)
+            workload, protocol, consistency, overrides = point
+            config = self.base_config(protocol, consistency,
+                                      **dict(overrides))
+            digest = self._disk_key(workload, config)
+            if digest in queued:
+                continue
+            stats = self._stored(digest)
+            if stats is not None:
+                self._cache[point] = stats
+                self._by_key[digest] = stats
+                self._record_run(digest, stats, point, config,
+                                 source="runner-cache")
+                continue
+            queued.add(digest)
             missing.append(point)
         return missing
 
@@ -206,6 +244,7 @@ class ParallelRunner(ExperimentRunner):
                 config = self.base_config(protocol, consistency,
                                           **dict(overrides))
                 digest = self._disk_key(workload, config)
+                self._by_key[digest] = stats
                 if self.disk_cache is not None:
                     self.disk_cache.put(digest, stats)
                 # per-point wall time stays in the worker process; the

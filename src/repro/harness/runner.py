@@ -55,6 +55,10 @@ class ExperimentRunner:
         self.seed = seed
         self.config_overrides = dict(config_overrides)
         self._cache: Dict[Point, RunStats] = {}
+        # the same results keyed by run key: points spelled differently
+        # (a default-valued override) that configure the same machine
+        # share one simulation
+        self._by_key: Dict[str, RunStats] = {}
         self.disk_cache = RunCache(cache_dir) if cache_dir else None
         # results database: a ResultsDB handle or a path to open one.
         # Every point this runner resolves (fresh simulation or disk
@@ -129,21 +133,26 @@ class ExperimentRunner:
             totals[name] = totals.get(name, 0) + value
         return stats
 
+    def _stored(self, digest: str) -> Optional[RunStats]:
+        """A finished result for one run key, from memory or disk."""
+        stats = self._by_key.get(digest)
+        if stats is None and self.disk_cache is not None:
+            stats = self.disk_cache.get(digest)
+        return stats
+
     def run(self, workload: str, protocol: Protocol,
             consistency: Consistency, **overrides) -> RunStats:
-        """Simulate one point, memoised on all of its parameters."""
+        """Simulate one point, memoised on its parameters and run key."""
         key = point_of(workload, protocol, consistency, **overrides)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         config = self.base_config(protocol, consistency, **overrides)
         digest = self._disk_key(workload, config)
-        stats = None
+        stats = self._stored(digest)
         wall_time = None
         source = "runner-cache"
-        backend = ""  # disk-cache hits ran no engine this process
-        if self.disk_cache is not None:
-            stats = self.disk_cache.get(digest)
+        backend = ""  # memo and disk-cache hits ran no engine now
         if stats is None:
             started = time.perf_counter()
             stats = self._simulate(workload, config)
@@ -153,6 +162,7 @@ class ExperimentRunner:
             if self.disk_cache is not None:
                 self.disk_cache.put(digest, stats)
         self._cache[key] = stats
+        self._by_key[digest] = stats
         self._record_run(digest, stats, key, config,
                          wall_time_s=wall_time, source=source,
                          sim_backend=backend)

@@ -652,7 +652,7 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# scheduler ready-scan (compiled copy of repro.gpu.sm.ready_mask_loop)
+# scheduler ready-scan (compiled copy of repro.gpu.sm.ready_mask)
 # ---------------------------------------------------------------------------
 def ready_mask_loop(cls_values: List[int], now: int) -> int:
     """Candidate bitmask over a packed warp-classification array.
