@@ -115,46 +115,6 @@ def test_scheduler_ready_mask(benchmark):
     assert benchmark.pedantic(scan, rounds=5, iterations=1) == expected
 
 
-def test_l1_packed_probe(benchmark):
-    """Packed L1 tag + lease probe: the TC load-hit path in isolation.
-
-    One dict probe for the tag plus one indexed compare against the
-    packed expiry column — exactly the sequence the TC and G-TSC L1
-    controllers run per load — over a seeded address stream with ~20%
-    misses.  Guards the packed-column layout against regressions
-    independently of protocol logic.
-    """
-    import random
-
-    from repro.mem.cache import CacheArray
-
-    cache = CacheArray(num_sets=64, assoc=4)
-    rng = random.Random(2018)
-    for addr in range(256):  # fills the array exactly
-        line, _ = cache.allocate(addr)
-        slot = cache._where[addr]
-        expiry = rng.randrange(1, 2000)
-        line.expiry = expiry
-        line.version = addr
-        cache.expiry_col[slot] = expiry
-        cache.version_col[slot] = addr
-    stream = [rng.randrange(0, 320) for _ in range(8192)]
-
-    def probe():
-        hits = 0
-        where_get = cache._where.get
-        expiry_col = cache.expiry_col
-        now = 1000
-        for addr in stream:
-            slot = where_get(addr)
-            if slot is not None and now < expiry_col[slot]:
-                hits += 1
-        return hits
-
-    expected = probe()
-    assert benchmark.pedantic(probe, rounds=5, iterations=1) == expected
-
-
 def test_matrix_sweep_throughput(benchmark):
     """End-to-end harness throughput: a small protocol matrix.
 

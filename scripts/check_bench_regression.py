@@ -45,10 +45,9 @@ TOLERANCES = {
     # engine microbenchmarks: short but allocation-free and steady
     "test_event_engine_throughput": 0.25,
     "test_engine_schedule_cancel_churn": 0.25,
-    # packed-state microbenchmarks: pure-Python inner loops over
+    # packed-state microbenchmark: a pure-Python inner loop over
     # preallocated arrays, very steady minima
     "test_scheduler_ready_mask": 0.25,
-    "test_l1_packed_probe": 0.25,
     # multi-GPU cluster points: same simulation-dominated profile as
     # the single-GPU points above, just over the interlinked machine
     "test_multigpu_simulation_throughput[2gpu]": 0.25,

@@ -116,27 +116,26 @@ class GTSCL1Controller(L1ControllerBase):
             )
             return True
 
-        # tag probe + lease check over the packed columns (the Fig. 2
-        # hit test, as indexed int reads — the line object is never
-        # touched on this path).  The LRU touch fires on any tag
-        # match, hit or expired, exactly like lookup() did.
+        # tag probe + lease check (the Fig. 2 hit test).  The LRU
+        # touch fires on any tag match, hit or expired, exactly like
+        # lookup() does.
         cache = self.cache
         slot = cache._where.get(addr)
         if slot is not None:
             cache._tick += 1
             cache._lru[slot] = cache._tick
-            if warp.ts <= cache.rts_col[slot]:
+            line = cache._lines[slot]
+            if warp.ts <= line.rts:
                 counters["l1_hit"] += 1
-                wts = cache.wts_col[slot]
+                wts = line.wts
                 if wts > warp.ts:
                     warp.ts = wts
                 engine = self.engine
                 if self.audit is not None:
                     self.audit.record(engine.now, "l1_load",
-                                      self.track, addr, wts,
-                                      cache.rts_col[slot],
+                                      self.track, addr, wts, line.rts,
                                       warp.ts, self.epoch, warp.uid)
-                self._record_load(warp, addr, cache.version_col[slot],
+                self._record_load(warp, addr, line.version,
                                   engine.now, hit=True)
                 # Engine.post, inlined (one completion per L1 hit)
                 time = engine.now + self._l1_latency
@@ -157,7 +156,7 @@ class GTSCL1Controller(L1ControllerBase):
         stale_wts = 0
         if slot is not None:
             counters["l1_expired_miss"] += 1
-            stale_wts = cache.wts_col[slot]
+            stale_wts = line.wts
 
         waiter = LoadWaiter(warp, on_done, self.engine.now)
         entry = self.mshr.get(addr)
@@ -314,10 +313,6 @@ class GTSCL1Controller(L1ControllerBase):
             line.rts = max(line.rts, msg.rts)
             line.version = msg.version
             line.epoch = self.epoch
-            slot = cache._where[msg.addr]
-            cache.wts_col[slot] = line.wts
-            cache.rts_col[slot] = line.rts
-            cache.version_col[slot] = line.version
         self._drain(msg.addr, line.wts, line.rts, line.version,
                     installed=True)
 
@@ -332,7 +327,6 @@ class GTSCL1Controller(L1ControllerBase):
             self._refetch(msg.addr)
             return
         line.rts = max(line.rts, msg.rts)
-        self.cache.rts_col[self.cache._where[msg.addr]] = line.rts
         self._drain(msg.addr, line.wts, line.rts, line.version,
                     installed=True)
 
@@ -351,11 +345,6 @@ class GTSCL1Controller(L1ControllerBase):
                 line.rts = msg.rts
                 line.version = pending.version
                 line.epoch = self.epoch
-                cache = self.cache
-                slot = cache._where[msg.addr]
-                cache.wts_col[slot] = msg.wts
-                cache.rts_col[slot] = msg.rts
-                cache.version_col[slot] = pending.version
         if not stale:
             pending.warp.ts = max(pending.warp.ts, msg.wts)
             if self.audit is not None:
@@ -399,11 +388,6 @@ class GTSCL1Controller(L1ControllerBase):
                 line.rts = msg.rts
                 line.version = pending.version
                 line.epoch = self.epoch
-                cache = self.cache
-                slot = cache._where[msg.addr]
-                cache.wts_col[slot] = msg.wts
-                cache.rts_col[slot] = msg.rts
-                cache.version_col[slot] = pending.version
         if not stale:
             pending.warp.ts = max(pending.warp.ts, msg.wts)
             if self.audit is not None:

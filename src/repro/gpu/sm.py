@@ -40,7 +40,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.config import Consistency, SchedulerPolicy
-from repro.sim.backend import ready_mask_fn as backend_ready_mask
 from repro.trace.compiled import (
     OP_ATOMIC,
     OP_BARRIER,
@@ -119,8 +118,6 @@ class SM:
         self._cand = -1
         self._timed = 0
         self._min_wake = _NO_WAKE
-        # backend-resolved rebuild scan (identical masks either way)
-        self._ready_mask = backend_ready_mask()
         self.retired = 0
         self._rr = 0
         self._greedy = machine.config.scheduler is SchedulerPolicy.GTO
@@ -351,7 +348,7 @@ class SM:
         if cand < 0:
             # slots were added/renumbered: rebuild from the packed
             # classifications
-            cand = self._ready_mask(cls_arr, now)
+            cand = ready_mask(cls_arr, now)
             timed = 0
             min_wake = _NO_WAKE
             for slot in range(count):

@@ -15,8 +15,9 @@ Conventions follow the exposition format spec:
   ``gauge`` metrics;
 * latency distributions render as ``summary`` metrics with
   ``quantile`` labels plus the ``_sum``/``_count`` pair, taken from
-  the worker pool's power-of-two histograms (so the quantiles are
-  bucket upper bounds — the same numbers ``latency_summary`` reports).
+  the worker pool's power-of-two histograms (so each quantile is its
+  bucket's upper bound capped at the largest sample — the same
+  numbers ``latency_summary`` reports).
 
 Rendering is pure string assembly over plain dicts; nothing here
 imports the server, so reports and tests can use it standalone.

@@ -216,19 +216,24 @@ class WorkerPool:
                              int(round(wall_time * 1000)))
 
     def latency_summary(self) -> Dict:
-        """Count/mean/p50/p95/p99/max (ms) per latency histogram."""
+        """Count/mean/p50/p95/p99/max (ms) per latency histogram.
+
+        A percentile is its bucket's upper bound capped at the largest
+        sample seen, so no quantile ever reads above ``max_ms``.
+        """
         out: Dict[str, Dict] = {}
         with self._lock:
             for name in self.latency.names():
                 histogram = self.latency.get(name)
+                top = histogram.max_value
                 out[name] = {
                     "count": histogram.count,
                     "sum_ms": histogram.total,
                     "mean_ms": round(histogram.mean, 3),
-                    "p50_ms": histogram.percentile(0.50),
-                    "p95_ms": histogram.percentile(0.95),
-                    "p99_ms": histogram.percentile(0.99),
-                    "max_ms": histogram.max_value,
+                    "p50_ms": min(histogram.percentile(0.50), top),
+                    "p95_ms": min(histogram.percentile(0.95), top),
+                    "p99_ms": min(histogram.percentile(0.99), top),
+                    "max_ms": top,
                 }
         return out
 

@@ -415,6 +415,77 @@ def test_schema_version_is_stamped(tmp_path):
     conn.close()
 
 
+# the ``runs`` table as written before the sim_backend / n_gpus columns
+_OLD_RUNS_SCHEMA = """
+CREATE TABLE runs (
+    run_key       TEXT PRIMARY KEY,
+    workload      TEXT NOT NULL DEFAULT '',
+    protocol      TEXT NOT NULL DEFAULT '',
+    consistency   TEXT NOT NULL DEFAULT '',
+    preset        TEXT NOT NULL DEFAULT '',
+    scale         REAL,
+    seed          INTEGER,
+    spec          TEXT,
+    config_desc   TEXT NOT NULL DEFAULT '',
+    config_hash   TEXT NOT NULL DEFAULT '',
+    git_commit    TEXT NOT NULL DEFAULT '',
+    repro_version TEXT NOT NULL DEFAULT '',
+    host          TEXT NOT NULL DEFAULT '',
+    source        TEXT NOT NULL DEFAULT '',
+    status        TEXT NOT NULL DEFAULT 'done',
+    wall_time_s   REAL,
+    cycles        INTEGER NOT NULL,
+    timeseries_meta TEXT NOT NULL DEFAULT '',
+    created_at    REAL NOT NULL,
+    updated_at    REAL NOT NULL
+);
+"""
+
+_OLD_ROW = {"run_key": KEY_A, "workload": "BFS", "protocol": "gtsc",
+            "consistency": "rc", "preset": "tiny", "scale": 0.3,
+            "seed": 2018, "source": "runner", "cycles": 999,
+            "created_at": 1.0, "updated_at": 2.0}
+
+
+def _insert_row(path: str, row: dict) -> None:
+    conn = sqlite3.connect(path)
+    conn.execute(f"INSERT INTO runs ({', '.join(row)}) "
+                 f"VALUES ({', '.join('?' * len(row))})",
+                 tuple(row.values()))
+    conn.commit()
+    conn.close()
+
+
+def test_older_runs_tables_migrate_and_keep_their_rows(tmp_path):
+    """Files from before and after the column additions both open."""
+    pre_columns = str(tmp_path / "pre.db")
+    conn = sqlite3.connect(pre_columns)
+    conn.executescript(_OLD_RUNS_SCHEMA)
+    conn.close()
+    _insert_row(pre_columns, _OLD_ROW)
+
+    with_backend = str(tmp_path / "backend.db")
+    ResultsDB(with_backend).close()
+    _insert_row(with_backend,
+                {**_OLD_ROW, "sim_backend": "fast", "n_gpus": 2})
+
+    for path, old_backend, old_gpus in ((pre_columns, "", 1),
+                                        (with_backend, "fast", 2)):
+        db = ResultsDB(path)
+        db.record(KEY_B, make_stats(), source="serve")
+        old = db.get_run(KEY_A)
+        for column, value in _OLD_ROW.items():
+            assert old[column] == value, (path, column)
+        assert old["sim_backend"] == old_backend
+        assert old["n_gpus"] == old_gpus
+        new = db.get_run(KEY_B)
+        assert new["source"] == "serve"
+        assert new["sim_backend"] == ""
+        assert new["n_gpus"] == 1
+        assert db.count() == 2
+        db.close()
+
+
 # ---------------------------------------------------------------------------
 # batched writes (flush_interval)
 # ---------------------------------------------------------------------------

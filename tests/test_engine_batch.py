@@ -87,10 +87,8 @@ def test_protocol_runs_are_horizon_invariant(protocol, monkeypatch):
         return GPU(config, record_accesses=False).run(kernel).to_dict()
 
     reference = simulate()
-    # the machine resolves its engine through the backend dispatch,
-    # so shrink the horizon behind that seam
-    monkeypatch.setattr(machine_mod, "engine_class",
-                        lambda: (lambda: Engine(horizon=2)))
+    # shrink the horizon of the engine every machine constructs
+    monkeypatch.setattr(machine_mod, "Engine", lambda: Engine(horizon=2))
     assert json.dumps(simulate(), sort_keys=True) == \
         json.dumps(reference, sort_keys=True)
 

@@ -95,6 +95,18 @@ def test_pool_records_latency_per_job(tmp_path):
     assert all(job.wall_time_s >= 0 for job in done)
 
 
+def test_pool_percentiles_never_exceed_the_max(tmp_path):
+    from repro.serve.workers import WorkerPool
+
+    pool = WorkerPool(JobStore(str(tmp_path / "jobs.jsonl")), jobs=1,
+                      execute=lambda s: fake_stats())
+    # 78 lands in the [64, 127] bucket; its upper bound is not a sample
+    pool.latency.add("job_simulate_ms", 78)
+    entry = pool.latency_summary()["job_simulate_ms"]
+    assert entry["max_ms"] == 78
+    assert entry["p50_ms"] == entry["p95_ms"] == entry["p99_ms"] == 78
+
+
 # ---------------------------------------------------------------------------
 # over the wire
 # ---------------------------------------------------------------------------
