@@ -138,7 +138,7 @@ def test_submit_latency_cached(benchmark, live_server):
 def test_submit_latency_coalesced(benchmark, live_server):
     """Eight racing clients, one simulation, eight identical answers."""
     next_seed = fresh_seeds(30_000)
-    executed_before = live_server.scheduler.pool.executed
+    executed_before = live_server.scheduler.executed
     bursts = []
 
     def burst():
@@ -164,7 +164,7 @@ def test_submit_latency_coalesced(benchmark, live_server):
     assert len({str(sorted(reply["stats"].items()))
                 for reply in replies}) == 1
     # one simulation per burst, never eight
-    executed = live_server.scheduler.pool.executed - executed_before
+    executed = live_server.scheduler.executed - executed_before
     assert executed == len(bursts)
 
 
@@ -292,7 +292,7 @@ def test_fleet_zipf_load(benchmark, zipf_fleet):
     simulations at <= one per distinct point."""
     CLIENTS, REQUESTS, SPECS = 16, 8, 16
     base = fresh_seeds(200_000)
-    executed_before = [zipf_fleet.live.scheduler.pool.executed]
+    executed_before = [zipf_fleet.live.scheduler.executed]
 
     def round_() -> list:
         # a fresh population each round so every round re-pays the
@@ -320,7 +320,7 @@ def test_fleet_zipf_load(benchmark, zipf_fleet):
 
     replies = benchmark.pedantic(round_, rounds=2, iterations=1)
     assert all(reply["ok"] for reply in replies)
-    executed = zipf_fleet.live.scheduler.pool.executed - \
+    executed = zipf_fleet.live.scheduler.executed - \
         executed_before[0]
     # dedup held: at most one simulation per distinct point per round
     assert executed <= SPECS * 2

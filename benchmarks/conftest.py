@@ -47,13 +47,9 @@ def runner() -> ExperimentRunner:
     (each benchmark is simulated once per configuration, and every
     figure is computed from that one set of runs).
     """
-    if BENCH_JOBS > 1:
-        from repro.harness.parallel import ParallelRunner
-        return ParallelRunner(jobs=BENCH_JOBS, preset=BENCH_PRESET,
-                              scale=BENCH_SCALE, seed=BENCH_SEED,
-                              cache_dir=BENCH_CACHE_DIR)
     return ExperimentRunner(preset=BENCH_PRESET, scale=BENCH_SCALE,
-                            seed=BENCH_SEED, cache_dir=BENCH_CACHE_DIR)
+                            seed=BENCH_SEED, cache_dir=BENCH_CACHE_DIR,
+                            jobs=BENCH_JOBS)
 
 
 @pytest.fixture(scope="session")

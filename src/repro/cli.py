@@ -80,19 +80,13 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    cache_dir = None if args.no_cache else args.cache_dir
-    db = None if getattr(args, "no_db", False) \
-        else getattr(args, "db", None)
-    progress = getattr(args, "progress", False)
-    if args.jobs > 1:
-        from repro.harness.parallel import ParallelRunner
-        return ParallelRunner(jobs=args.jobs, preset=args.preset,
-                              scale=args.scale, seed=args.seed,
-                              cache_dir=cache_dir, progress=progress,
-                              db=db)
-    return ExperimentRunner(preset=args.preset, scale=args.scale,
-                            seed=args.seed, cache_dir=cache_dir,
-                            progress=progress, db=db)
+    return ExperimentRunner(
+        preset=args.preset, scale=args.scale, seed=args.seed,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        progress=getattr(args, "progress", False),
+        db=None if getattr(args, "no_db", False)
+        else getattr(args, "db", None),
+        jobs=args.jobs)
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -470,7 +464,12 @@ def cmd_serve_worker(args: argparse.Namespace) -> int:
             signal.signal(signum, lambda *_: worker.stop())
         except (ValueError, OSError):  # pragma: no cover
             pass                       # non-main thread / platform
-    worker.run()
+    print(f"[worker {worker.name}] connected to "
+          f"{client.host}:{client.port}", file=sys.stderr, flush=True)
+    try:
+        worker.run()
+    finally:
+        client.close()
     return 0
 
 

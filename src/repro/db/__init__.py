@@ -1,9 +1,9 @@
 """Queryable experiment results database with provenance.
 
 The observability layer for *results*: every finished simulation —
-whether it ran through an :class:`~repro.harness.runner.ExperimentRunner`,
-a :class:`~repro.harness.parallel.ParallelRunner` worker, or a
-``repro.serve`` fleet worker — lands as a row keyed by the harness
+whether an :class:`~repro.harness.runner.ExperimentRunner` ran it
+in-process or over its process pool, or a ``repro.serve`` worker ran
+it — lands as a row keyed by the harness
 run key, stamped with git commit, config hash, host and wall time.
 Reports and paper-figure tables then become cheap queries
 (:mod:`repro.db.query`, :mod:`repro.db.report`) instead of

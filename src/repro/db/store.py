@@ -51,7 +51,7 @@ from typing import Dict, List, Optional
 
 import repro
 from repro.db import provenance
-from repro.stats.collector import RunStats
+from repro.stats.collector import RunStats, ordered_energy
 from repro.stats.histogram import Histogram
 
 #: bump when the table shapes change incompatibly
@@ -389,7 +389,7 @@ class ResultsDB:
             config_desc=run["config_desc"],
             cycles=run["cycles"],
             counters=counters,
-            energy=energy,
+            energy=ordered_energy(energy),
             histograms=histograms,
             timeseries=timeseries,
         )

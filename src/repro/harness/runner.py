@@ -3,24 +3,25 @@
 An :class:`ExperimentRunner` owns the machine preset, workload scale
 and seed, and memoises finished runs, so experiments that share
 baselines (every figure normalises against the no-L1 BL run) reuse
-them instead of re-simulating.
+them instead of re-simulating.  Its optional on-disk cache
+(``cache_dir=...``, see :mod:`repro.harness.cache`) survives across
+processes, and with ``jobs > 1`` :meth:`~ExperimentRunner.prefetch`
+simulates a batch's missing points over a process pool.
 
-Two optional accelerators sit on top of the in-memory memo:
-
-* a persistent on-disk cache (``cache_dir=...``) that survives across
-  processes — see :mod:`repro.harness.cache`;
-* a process-pool batch path (:class:`repro.harness.parallel.ParallelRunner`)
-  that overrides :meth:`prefetch` to simulate independent points
-  concurrently.
+:func:`_simulate_point` is the one entry that simulates a point
+outside a caller's runner: the pool workers and the serve workers
+(:func:`repro.serve.fleet.execute_spec`) both call it.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 import warnings
-from typing import Dict, Iterable, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import make_gpu
@@ -33,6 +34,16 @@ from repro.workloads import build_workload
 # one simulation point: (workload, protocol, consistency, overrides)
 Point = Tuple[str, Protocol, Consistency, Tuple]
 
+#: compiled traces this process built, keyed by (workload, scale,
+#: seed, trace cache dir), least recently used first.  A serve worker
+#: runs many configs of few traces; bounded so a long service with
+#: many distinct traces does not grow without limit.  The trace cache
+#: dir is part of the key so a trace built without one never skips a
+#: later runner's on-disk trace cache.
+_KERNELS: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
+_KERNELS_MAX = 32
+_KERNELS_LOCK = threading.Lock()
+
 
 def point_of(workload: str, protocol: Protocol,
              consistency: Consistency, **overrides) -> Point:
@@ -41,15 +52,118 @@ def point_of(workload: str, protocol: Protocol,
             tuple(sorted(overrides.items())))
 
 
+class SimulationJobError(RuntimeError):
+    """A worker failure annotated with the point that caused it.
+
+    A bare traceback out of a process pool says *what* broke but not
+    *which of the 40 submitted points* broke it; this wrapper pins the
+    workload, protocol/consistency, scale, seed and preset to the
+    failure so a sweep can be re-narrowed to the offending point.
+
+    Built from two positional arguments (message, context dict) only,
+    so the default ``Exception`` pickling round-trips it intact across
+    the ``fork``/``spawn`` process boundary.
+    """
+
+    def __init__(self, message: str, context: Dict) -> None:
+        super().__init__(message, context)
+        self.context = dict(context)
+
+    def __str__(self) -> str:
+        detail = ", ".join(f"{k}={v}" for k, v in
+                           sorted(self.context.items()))
+        return f"{self.args[0]} [{detail}]"
+
+
+def _kernel(workload: str, scale: float, seed: int,
+            trace_cache_dir: Optional[str]) -> CompiledKernel:
+    """The compiled trace for one workload, built at most once here.
+
+    Two threads missing the same key both build it; the traces are
+    identical and read-only, so either copy may be kept.
+    """
+    key = (workload, scale, seed, trace_cache_dir)
+    with _KERNELS_LOCK:
+        kernel = _KERNELS.get(key)
+        if kernel is not None:
+            _KERNELS.move_to_end(key)
+            return kernel
+    kernel = build_workload(workload, scale=scale, seed=seed,
+                            cache_dir=trace_cache_dir)
+    if not isinstance(kernel, CompiledKernel):
+        kernel = compile_kernel(kernel)
+    with _KERNELS_LOCK:
+        _KERNELS[key] = kernel
+        if len(_KERNELS) > _KERNELS_MAX:
+            _KERNELS.popitem(last=False)
+    return kernel
+
+
+def _simulate_point(preset: str, scale: float, seed: int,
+                    config_overrides: Tuple, point: Point,
+                    trace_cache_dir: Optional[str] = None) -> Dict:
+    """Worker entry: simulate one point, return a picklable payload.
+
+    Top-level (not a closure/method) so it pickles under both the
+    ``fork`` and ``spawn`` start methods.  It simulates through a
+    plain :class:`ExperimentRunner`, so worker and batch agree on
+    every config parameter.  ``trace_cache_dir`` lets workers share
+    the parent's on-disk compiled-trace cache instead of each
+    re-generating the workload.
+
+    Any failure is re-raised as :class:`SimulationJobError` carrying
+    the point's identity, chained to the original exception.
+    """
+    workload, protocol, consistency, overrides = point
+    try:
+        runner = ExperimentRunner(preset=preset, scale=scale, seed=seed,
+                                  **dict(config_overrides))
+        runner.trace_cache_dir = trace_cache_dir
+        config = runner.base_config(protocol, consistency,
+                                    **dict(overrides))
+        return runner._simulate(workload, config).to_dict()
+    except Exception as error:
+        context = {
+            "workload": workload,
+            "protocol": getattr(protocol, "value", protocol),
+            "consistency": getattr(consistency, "value", consistency),
+            "preset": preset,
+            "scale": scale,
+            "seed": seed,
+        }
+        if overrides:
+            context["overrides"] = dict(overrides)
+        raise SimulationJobError(
+            f"{type(error).__name__}: {error}", context) from error
+
+
 class ExperimentRunner:
-    """Runs (workload x configuration) points with memoisation."""
+    """Runs (workload x configuration) points with memoisation.
+
+    ``jobs`` worker processes simulate the missing points of each
+    :meth:`prefetch` batch (``matrix``, ``sweep`` and the figure
+    functions pass their full point sets); single points and
+    ``jobs=1`` run in-process.
+    """
 
     def __init__(self, preset: str = "small", scale: float = 0.5,
                  seed: int = 2018, cache_dir: Optional[str] = None,
-                 progress: bool = False, db=None,
+                 progress: bool = False, db=None, jobs: int = 1,
                  **config_overrides) -> None:
         if preset not in ("small", "paper", "tiny"):
             raise ValueError(f"unknown preset {preset!r}")
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        cores = os.cpu_count() or 1
+        if jobs > cores:
+            # oversubscription is a measured loss on this workload
+            # (0.73x at jobs=4 on a 1-core box), not just a no-op
+            warnings.warn(
+                f"jobs={jobs} exceeds the {cores} available CPU "
+                f"core(s); clamping to {cores}",
+                RuntimeWarning, stacklevel=2)
+            jobs = cores
+        self.jobs = jobs
         self.preset = preset
         self.scale = scale
         self.seed = seed
@@ -75,8 +189,8 @@ class ExperimentRunner:
         self._kernels: Dict[str, CompiledKernel] = {}
         #: actual simulations performed (cache hits don't count)
         self.simulations_run = 0
-        #: engine hot-loop counters summed over fresh simulations
-        #: (engine_* names; cached points contribute nothing)
+        #: engine hot-loop counters summed over in-process simulations
+        #: (engine_* names; cached and pool points contribute nothing)
         self.engine_counters: Dict[str, int] = {}
         #: emit live heartbeat lines to stderr during batch prefetches
         self.progress = progress
@@ -107,20 +221,11 @@ class ExperimentRunner:
     def _disk_key(self, workload: str, config: GPUConfig) -> str:
         return run_key(config, workload, self.scale, self.seed)
 
-    def _kernel(self, workload: str) -> CompiledKernel:
-        """The compiled trace for ``workload``, built at most once."""
+    def _simulate(self, workload: str, config: GPUConfig) -> RunStats:
         kernel = self._kernels.get(workload)
         if kernel is None:
-            kernel = build_workload(workload, scale=self.scale,
-                                    seed=self.seed,
-                                    cache_dir=self.trace_cache_dir)
-            if not isinstance(kernel, CompiledKernel):
-                kernel = compile_kernel(kernel)
-            self._kernels[workload] = kernel
-        return kernel
-
-    def _simulate(self, workload: str, config: GPUConfig) -> RunStats:
-        kernel = self._kernel(workload)
+            kernel = self._kernels[workload] = _kernel(
+                workload, self.scale, self.seed, self.trace_cache_dir)
         self.simulations_run += 1
         gpu = make_gpu(config, record_accesses=False)
         stats = gpu.run(kernel)
@@ -146,20 +251,42 @@ class ExperimentRunner:
         config = self.base_config(protocol, consistency, **overrides)
         digest = self._disk_key(workload, config)
         stats = self._stored(digest)
-        wall_time = None
-        source = "runner-cache"
-        if stats is None:
-            started = time.perf_counter()
-            stats = self._simulate(workload, config)
-            wall_time = time.perf_counter() - started
-            source = "runner"
-            if self.disk_cache is not None:
-                self.disk_cache.put(digest, stats)
-        self._cache[key] = stats
-        self._by_key[digest] = stats
-        self._record_run(digest, stats, key, config,
-                         wall_time_s=wall_time, source=source)
+        if stats is not None:
+            self._keep(key, digest, stats, config, "runner-cache")
+            return stats
+        started = time.perf_counter()
+        stats = self._simulate(workload, config)
+        self._keep(key, digest, stats, config, "runner",
+                   time.perf_counter() - started)
         return stats
+
+    def _keep(self, point: Point, digest: str, stats: RunStats,
+              config: GPUConfig, source: str,
+              wall_time_s: Optional[float] = None) -> None:
+        """Memoise one resolved point, store it, and record its row.
+
+        A fresh result (``runner``, ``runner-pool``) is written to the
+        disk cache; a memory or disk hit (``runner-cache``) is not.
+        Database trouble (read-only disk, concurrent schema upgrade)
+        warns and continues: persistence of provenance must never
+        fail the experiment that produced the result.
+        """
+        self._cache[point] = stats
+        self._by_key[digest] = stats
+        if source != "runner-cache" and self.disk_cache is not None:
+            self.disk_cache.put(digest, stats)
+        if self.results_db is None:
+            return
+        try:
+            self.results_db.record(
+                digest, stats, spec=self.point_spec(point),
+                config=config, source=source,
+                wall_time_s=wall_time_s)
+        except Exception as error:
+            warnings.warn(
+                f"results-db record failed for {digest[:12]}…: "
+                f"{type(error).__name__}: {error}",
+                RuntimeWarning, stacklevel=2)
 
     # ------------------------------------------------------------------
     # results database
@@ -186,51 +313,87 @@ class ExperimentRunner:
                           for k in sorted(merged)},
         }
 
-    def _record_run(self, digest: str, stats: RunStats, point: Point,
-                    config: GPUConfig,
-                    wall_time_s: Optional[float] = None,
-                    source: str = "runner") -> None:
-        """Upsert one resolved point into the results DB (if any).
+    # ------------------------------------------------------------------
+    # batches
+    # ------------------------------------------------------------------
+    def _missing(self, points: Iterable[Point]) -> Dict:
+        """The points not satisfiable from any cache, one per run key,
+        each mapped to its ``(config, run key)``."""
+        missing: Dict[Point, Tuple[GPUConfig, str]] = {}
+        queued = set()
+        for point in points:
+            if point in self._cache:
+                continue
+            workload, protocol, consistency, overrides = point
+            config = self.base_config(protocol, consistency,
+                                      **dict(overrides))
+            digest = self._disk_key(workload, config)
+            if digest in queued:
+                continue
+            stats = self._stored(digest)
+            if stats is not None:
+                self._keep(point, digest, stats, config, "runner-cache")
+                continue
+            queued.add(digest)
+            missing[point] = (config, digest)
+        return missing
 
-        Database trouble (read-only disk, concurrent schema upgrade)
-        warns and continues: persistence of provenance must never
-        fail the experiment that produced the result.
-        """
-        if self.results_db is None:
+    def _run_missing(self, missing: Dict) -> Iterator[RunStats]:
+        """Simulate uncached points, yielding results in point order."""
+        if self.jobs == 1 or len(missing) == 1:
+            for workload, protocol, consistency, overrides in missing:
+                yield self.run(workload, protocol, consistency,
+                               **dict(overrides))
             return
-        try:
-            self.results_db.record(
-                digest, stats, spec=self.point_spec(point),
-                config=config, source=source,
-                wall_time_s=wall_time_s)
-        except Exception as error:
-            warnings.warn(
-                f"results-db record failed for {digest[:12]}…: "
-                f"{type(error).__name__}: {error}",
-                RuntimeWarning, stacklevel=2)
+
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._heartbeat(f"simulating {len(missing)} point(s) over "
+                        f"{self.jobs} worker process(es)")
+        overrides_key = tuple(sorted(self.config_overrides.items()))
+        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            futures = [
+                pool.submit(_simulate_point, self.preset, self.scale,
+                            self.seed, overrides_key, point,
+                            self.trace_cache_dir)
+                for point in missing
+            ]
+            # submission order, not completion order: results land
+            # deterministically
+            for (point, (config, digest)), future in zip(
+                    missing.items(), futures):
+                stats = RunStats.from_dict(future.result())
+                self.simulations_run += 1
+                # per-point wall time stays in the worker process; the
+                # row still records which pool run produced it
+                self._keep(point, digest, stats, config, "runner-pool")
+                yield stats
 
     def prefetch(self, points: Iterable[Point]) -> None:
         """Warm the memo for a batch of points.
 
-        The base implementation simply runs them sequentially; the
-        parallel runner overrides this to fan the *missing* points out
-        over a process pool.  Callers that know their full set of
-        points up front (matrix, sweep, figure functions) route it
-        through here so that one runner swap parallelises everything.
+        Points a cache already holds are resolved first; the rest (one
+        per run key) run in-process when ``jobs == 1`` or only one is
+        missing, and over a pool of ``jobs`` processes otherwise.
+        Callers that know their full set of points up front (matrix,
+        sweep, figure functions) route it through here.
         """
         points = list(points)
-        total = len(points)
+        missing = self._missing(points)
+        cached = len(points) - len(missing)
+        if cached:
+            self._heartbeat(f"{cached} of {len(points)} point(s) "
+                            f"already cached")
+        total = len(missing)
         started = time.monotonic()
         estimator = RateEstimator()
-        for index, point in enumerate(points, start=1):
-            workload, protocol, consistency, overrides = point
-            before = self.simulations_run
-            self.run(workload, protocol, consistency, **dict(overrides))
-            tag = "ran" if self.simulations_run > before else "cached"
+        for index, (point, stats) in enumerate(
+                zip(missing, self._run_missing(missing)), start=1):
             estimator.tick()
             self._heartbeat(
                 f"{index}/{total} {self._describe_point(point)} "
-                f"({tag}, {time.monotonic() - started:.1f}s elapsed"
+                f"(cycles={stats.cycles}, "
+                f"{time.monotonic() - started:.1f}s elapsed"
                 f"{estimator.suffix(total - index)})")
 
     # -- the runs every figure needs -------------------------------------------

@@ -7,15 +7,15 @@ so many clients can share one simulation budget:
   leases (PENDING -> LEASED -> DONE/FAILED, expiry requeues);
 * :mod:`~repro.serve.scheduler` — single-flight dedup keyed by
   :func:`repro.harness.cache.run_key`, sharded over independent
-  locks, plus the fleet-facing lease/complete/fail/heartbeat entry
-  points;
+  locks, the lease/complete/fail/heartbeat entry points every
+  worker uses, and the retry/backoff/quarantine policy (``jobs=0``
+  makes the process a pure dispatcher);
 * :mod:`~repro.serve.results` — the content-addressed result store
   every fleet member (and the batch harness) shares;
-* :mod:`~repro.serve.workers` — leased worker threads with per-job
-  timeout, jittered retry, and failure quarantine (``jobs=0`` makes
-  the process a pure dispatcher);
-* :mod:`~repro.serve.fleet` — the remote worker process: a lease
-  loop over the wire (``serve worker --connect``);
+* :mod:`~repro.serve.fleet` — the one lease loop every job runs
+  through, with per-job timeout and heartbeats: the dispatcher's
+  ``--jobs`` worker threads and ``serve worker --connect`` processes
+  alike;
 * :mod:`~repro.serve.server` / :mod:`~repro.serve.client` — the
   newline-JSON TCP protocol (versioned, with backpressure and
   persistent client connections);
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from repro.serve.client import ServeClient, ServeError, \
     ServeUnavailable
-from repro.serve.fleet import FleetWorker, default_worker_name
+from repro.serve.fleet import FleetWorker, JobTimeout, \
+    default_worker_name, execute_spec
 from repro.serve.jobs import Job, JobStore
 from repro.serve.results import ResultStore
 from repro.serve.scheduler import Busy, Quarantined, Scheduler, \
@@ -37,7 +38,6 @@ from repro.serve.scheduler import Busy, Quarantined, Scheduler, \
 from repro.serve.schema import PROTOCOL_VERSION, SpecError, \
     make_spec, result_envelope, spec_config, spec_key, validate_spec
 from repro.serve.server import ServeServer
-from repro.serve.workers import JobTimeout, WorkerPool, execute_spec
 
 __all__ = [
     "Busy",
@@ -55,7 +55,6 @@ __all__ = [
     "ServeUnavailable",
     "SpecError",
     "Submission",
-    "WorkerPool",
     "default_worker_name",
     "execute_spec",
     "make_spec",

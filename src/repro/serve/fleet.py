@@ -1,26 +1,31 @@
-"""The remote worker: a lease loop over the wire.
+"""The worker: one lease loop, local or over the wire.
 
-``gtsc-repro serve worker --connect HOST:PORT`` runs one of these.  A
-fleet worker owns no queue and no state directory — it dials the
-dispatcher, leases one job at a time through the protocol's fleet ops
-(``lease`` / ``heartbeat`` / ``complete`` / ``fail``), executes it
-with the *same* entry point the in-process pool uses
-(:func:`~repro.serve.workers.execute_spec`, i.e. the batch harness's
-worker function), and reports the outcome.  Because workers are
-separate **processes**, a fleet of N actually simulates N points
-concurrently — the in-process pool's threads serialize on the GIL, so
-this is where the service's throughput scaling comes from.
+Every serve job runs through a :class:`FleetWorker`.  Its ``client``
+is whatever grants leases:
+
+* a :class:`~repro.serve.scheduler.Scheduler` for the ``serve --jobs
+  N`` worker threads inside the dispatcher process;
+* a :class:`~repro.serve.client.ServeClient` for ``gtsc-repro serve
+  worker --connect HOST:PORT`` processes, which lease through the
+  protocol's fleet ops.  Separate processes simulate concurrently;
+  the in-process threads serialize on the GIL.
+
+Both speak the same four calls (``lease`` / ``heartbeat`` /
+``complete`` / ``fail``) and execute with :func:`execute_spec`, i.e.
+the batch harness's :func:`~repro.harness.runner._simulate_point`, so
+a served job is bit-identical to the same point run by an
+``ExperimentRunner``.
 
 Division of labour with the dispatcher:
 
 * the **dispatcher** owns policy: dedup, retry/backoff/quarantine
-  (a worker's ``fail`` report feeds the same
-  :meth:`~repro.serve.workers.WorkerPool.record_failure` the local
-  threads use), lease expiry, the shared result store, the DB;
+  (a worker's ``fail`` report feeds :meth:`Scheduler.fail`), lease
+  expiry, the shared result store, the DB;
 * the **worker** owns only execution mechanics: the per-job timeout
-  (same disposable-thread technique as the pool's
-  ``_call_with_timeout``), heartbeats while the simulation runs, and
-  honest outcome reports.
+  (the job runs on a disposable daemon thread; past the timeout it is
+  abandoned — the thread cannot be killed, but it can no longer touch
+  the queue), heartbeats while the simulation runs, and honest
+  outcome reports.
 
 A worker is therefore entirely disposable.  Kill one mid-job and the
 lease expires on the dispatcher, the job requeues, and another worker
@@ -46,10 +51,25 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.serve.client import (ServeClient, ServeError,
-                                ServeUnavailable)
-from repro.serve.workers import JobTimeout, execute_spec
+from repro.config import Consistency, Protocol
+from repro.harness.runner import _simulate_point
+from repro.serve.client import ServeError, ServeUnavailable
+from repro.serve.jobs import Job
 from repro.stats.collector import RunStats
+
+
+class JobTimeout(RuntimeError):
+    """An execution that exceeded the worker's per-job timeout."""
+
+
+def execute_spec(spec: Dict) -> RunStats:
+    """Simulate one validated spec, exactly as the batch harness would."""
+    point = (spec["workload"], Protocol(spec["protocol"]),
+             Consistency(spec["consistency"]),
+             tuple(sorted(spec["overrides"].items())))
+    payload = _simulate_point(spec["preset"], spec["scale"],
+                              spec["seed"], (), point)
+    return RunStats.from_dict(payload)
 
 
 def default_worker_name() -> str:
@@ -60,10 +80,13 @@ def default_worker_name() -> str:
 
 
 class FleetWorker:
-    """One remote lease loop against one dispatcher."""
+    """One lease loop against one dispatcher.
 
-    def __init__(self, client: ServeClient,
-                 name: Optional[str] = None,
+    An idle worker polls every ``poll_interval`` seconds, or sooner
+    when ``wake`` (the dispatcher's submit event) is set.
+    """
+
+    def __init__(self, client, name: Optional[str] = None,
                  execute: Callable[[Dict], RunStats] = execute_spec,
                  *, timeout: Optional[float] = None,
                  lease_duration: Optional[float] = None,
@@ -72,6 +95,7 @@ class FleetWorker:
                  max_jobs: Optional[int] = None,
                  idle_exit: Optional[float] = None,
                  drain_exit: bool = True,
+                 wake: Optional[threading.Event] = None,
                  rng: Optional[random.Random] = None,
                  quiet: bool = False) -> None:
         self.client = client
@@ -90,9 +114,11 @@ class FleetWorker:
         self.quiet = quiet
         self._rng = rng if rng is not None else random.Random()
         self._stop = threading.Event()
-        #: jobs executed / failed / leases granted to this worker
+        self._wake = wake if wake is not None else threading.Event()
+        #: jobs executed / failed / timed out / leases granted here
         self.executed = 0
         self.failed = 0
+        self.timeouts = 0
         self.leases = 0
 
     def _log(self, message: str) -> None:
@@ -103,11 +129,11 @@ class FleetWorker:
     def stop(self) -> None:
         """Ask the loop to exit after the current job."""
         self._stop.set()
+        self._wake.set()
 
     # ------------------------------------------------------------------
     def run(self) -> int:
         """Lease-execute-report until told to stop; returns jobs run."""
-        self._log(f"connected to {self.client.host}:{self.client.port}")
         idle_since: Optional[float] = None
         while not self._stop.is_set():
             if self.max_jobs is not None and \
@@ -132,48 +158,48 @@ class FleetWorker:
                     self._log(f"idle for {self.idle_exit}s; exiting")
                     break
                 # jittered so a fleet's pollers don't phase-lock
-                self._stop.wait(self.poll_interval *
+                self._wake.wait(self.poll_interval *
                                 (0.5 + self._rng.random()))
+                self._wake.clear()
                 continue
             idle_since = None
             self.leases += 1
-            self._run_one(job)
+            self._run_one(job if isinstance(job, Job)
+                          else Job.from_dict(job))
         self._log(f"done: {self.executed} executed, "
                   f"{self.failed} failed, {self.leases} lease(s)")
-        self.client.close()
         return self.executed
 
     # ------------------------------------------------------------------
-    def _run_one(self, job: Dict) -> None:
-        job_id, key = job["id"], job["key"]
-        self._log(f"leased {job_id} ({key[:12]}…, "
-                  f"attempt {job['attempts']})")
+    def _run_one(self, job: Job) -> None:
+        self._log(f"leased {job.id} ({job.key[:12]}…, "
+                  f"attempt {job.attempts})")
         started = time.perf_counter()
         try:
-            stats = self._execute_with_heartbeats(job_id, job["spec"])
+            stats = self._execute_with_heartbeats(job.id, job.spec)
         except Exception as error:
             wall = time.perf_counter() - started
             message = f"{type(error).__name__}: {error}"
             self.failed += 1
-            self._log(f"{job_id} failed after {wall:.2f}s: {message}")
+            self._log(f"{job.id} failed after {wall:.2f}s: {message}")
             try:
-                self.client.fail(job_id, self.name, message)
+                self.client.fail(job.id, self.name, message)
             except (ServeError, ServeUnavailable) as report_error:
                 # the lease will expire and requeue on its own
-                self._log(f"could not report failure for {job_id}: "
+                self._log(f"could not report failure for {job.id}: "
                           f"{report_error}")
             return
         wall = time.perf_counter() - started
         self.executed += 1
         try:
-            fresh = self.client.complete(job_id, self.name, stats,
+            fresh = self.client.complete(job.id, self.name, stats,
                                          wall_time_s=wall)
         except (ServeError, ServeUnavailable) as report_error:
-            self._log(f"could not report result for {job_id}: "
+            self._log(f"could not report result for {job.id}: "
                       f"{report_error}")
             return
         suffix = "" if fresh else " (deduplicated late result)"
-        self._log(f"{job_id} completed in {wall:.2f}s{suffix}")
+        self._log(f"{job.id} completed in {wall:.2f}s{suffix}")
 
     def _execute_with_heartbeats(self, job_id: str,
                                  spec: Dict) -> RunStats:
@@ -192,16 +218,21 @@ class FleetWorker:
         deadline = None if self.timeout is None else \
             time.monotonic() + self.timeout
         while True:
-            thread.join(self.heartbeat_interval)
+            wait = self.heartbeat_interval
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            thread.join(wait)
             if not thread.is_alive():
                 break
             if deadline is not None and time.monotonic() >= deadline:
+                self.timeouts += 1
                 raise JobTimeout(
                     f"execution exceeded {self.timeout}s")
             try:
                 self.client.heartbeat(job_id, self.name,
                                       self.lease_duration)
-            except (ServeError, ServeUnavailable):
+            except (ServeError, ServeUnavailable, KeyError,
+                    ValueError):
                 # lease lost or dispatcher gone; keep simulating —
                 # a finished result is still worth reporting, and
                 # complete() dedups it if the job moved on

@@ -67,6 +67,21 @@ class StatsCollector:
 #   gwct_stall_cycles           TC-Weak: fence wait on GWCT
 
 
+#: the component order of :meth:`repro.energy.EnergyModel.compute`.
+#: ``RunStats.total_energy`` sums in dict order and float addition is
+#: not associative, so a stored result rebuilds its energy in this
+#: order to total exactly what the fresh run did.
+ENERGY_COMPONENTS = ("l1", "l2", "noc", "dram", "core", "static")
+
+
+def ordered_energy(energy: Dict[str, float]) -> Dict[str, float]:
+    """``energy`` in compute order, unknown components after, sorted."""
+    known = [name for name in ENERGY_COMPONENTS if name in energy]
+    extra = sorted(name for name in energy
+                   if name not in ENERGY_COMPONENTS)
+    return {name: float(energy[name]) for name in known + extra}
+
+
 @dataclass
 class RunStats:
     """Immutable summary of one finished simulation run.
@@ -156,7 +171,7 @@ class RunStats:
             config_desc=data["config"],
             cycles=data["cycles"],
             counters=dict(data["counters"]),
-            energy={k: float(v) for k, v in data["energy_j"].items()},
+            energy=ordered_energy(data["energy_j"]),
             histograms={
                 name: Histogram.from_dict(name, entry)
                 for name, entry in data["histograms"].items()

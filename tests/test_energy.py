@@ -4,12 +4,23 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.energy.model import EnergyModel, EnergyParams
+from repro.stats.collector import ENERGY_COMPONENTS, ordered_energy
 
 
 def test_components_present():
     model = EnergyModel(GPUConfig.small())
     energy = model.compute({}, cycles=1000)
     assert set(energy) == {"l1", "l2", "noc", "dram", "core", "static"}
+
+
+def test_stored_energy_order_is_the_compute_order():
+    energy = EnergyModel(GPUConfig.small()).compute({}, cycles=1000)
+    assert tuple(energy) == ENERGY_COMPONENTS
+    shuffled = dict(sorted(energy.items()))
+    shuffled["zz_extra"] = 1.0
+    shuffled["aa_extra"] = 2.0
+    assert list(ordered_energy(shuffled)) == \
+        list(ENERGY_COMPONENTS) + ["aa_extra", "zz_extra"]
 
 
 def test_event_energies_scale_linearly():

@@ -16,11 +16,11 @@ import pytest
 from repro.cli import EXPERIMENT_FNS
 from repro.config import CombiningPolicy, Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import run_kernel
-from repro.harness import parallel
+from repro.harness import runner as runner_mod
 from repro.harness.experiments import ablation_tc_lease
 from repro.harness.runner import ExperimentRunner, point_of
 from repro.serve.schema import make_spec
-from repro.serve.workers import execute_spec
+from repro.serve.fleet import execute_spec
 from repro.trace.compiled import compile_kernel
 from repro.workloads import build_workload
 
@@ -105,7 +105,7 @@ def test_all_experiments_simulate_each_run_key_once():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_prefetch_simulates_each_run_key_once(jobs):
-    runner = parallel.ParallelRunner(jobs=jobs, preset="tiny", scale=0.1)
+    runner = ExperimentRunner(jobs=jobs, preset="tiny", scale=0.1)
     points = [point_of("HS", Protocol.GTSC, Consistency.RC),
               point_of("HS", Protocol.GTSC, Consistency.RC,
                        combining=CombiningPolicy.MSHR),
@@ -125,8 +125,9 @@ def test_serve_jobs_share_one_trace_build(monkeypatch):
         builds.append(name)
         return build_workload(name, **kwargs)
 
-    monkeypatch.setattr(parallel, "build_workload", counting_build)
-    monkeypatch.setattr(parallel, "_KERNELS", type(parallel._KERNELS)())
+    monkeypatch.setattr(runner_mod, "build_workload", counting_build)
+    monkeypatch.setattr(runner_mod, "_KERNELS",
+                        type(runner_mod._KERNELS)())
     specs = [make_spec("HS", protocol=protocol, preset="tiny", scale=0.1,
                        seed=11)
              for protocol in ("gtsc", "tc")]
@@ -141,28 +142,31 @@ def test_serve_jobs_share_one_trace_build(monkeypatch):
 
 
 def test_kernel_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(parallel, "_KERNELS", type(parallel._KERNELS)())
-    monkeypatch.setattr(parallel, "_KERNELS_MAX", 2)
+    monkeypatch.setattr(runner_mod, "_KERNELS",
+                        type(runner_mod._KERNELS)())
+    monkeypatch.setattr(runner_mod, "_KERNELS_MAX", 2)
     for seed in (1, 2, 3):
-        parallel._kernel("HS", 0.1, seed, None)
-    assert list(parallel._KERNELS) == [("HS", 0.1, 2), ("HS", 0.1, 3)]
+        runner_mod._kernel("HS", 0.1, seed, None)
+    assert list(runner_mod._KERNELS) == [("HS", 0.1, 2, None),
+                                         ("HS", 0.1, 3, None)]
 
 
 def test_kernel_memo_under_thread_contention(monkeypatch):
     kernels = {seed: compile_kernel(build_workload("HS", scale=0.1,
                                                    seed=seed))
                for seed in range(6)}
-    monkeypatch.setattr(parallel, "build_workload",
+    monkeypatch.setattr(runner_mod, "build_workload",
                         lambda name, scale, seed, cache_dir: kernels[seed])
-    monkeypatch.setattr(parallel, "_KERNELS", type(parallel._KERNELS)())
-    monkeypatch.setattr(parallel, "_KERNELS_MAX", 3)
+    monkeypatch.setattr(runner_mod, "_KERNELS",
+                        type(runner_mod._KERNELS)())
+    monkeypatch.setattr(runner_mod, "_KERNELS_MAX", 3)
     errors = []
 
     def worker(offset):
         try:
             for step in range(2000):
                 seed = (offset + step) % 6
-                assert parallel._kernel("HS", 0.1, seed, None) \
+                assert runner_mod._kernel("HS", 0.1, seed, None) \
                     is kernels[seed]
         except Exception as error:  # reported by the main thread
             errors.append(error)
@@ -180,7 +184,7 @@ def test_kernel_memo_under_thread_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert len(parallel._KERNELS) <= 3
+    assert len(runner_mod._KERNELS) <= 3
 
 
 def test_cli_and_serve_import_without_numpy():

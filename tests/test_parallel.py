@@ -1,4 +1,4 @@
-"""Tests for the process-pool experiment runner.
+"""Tests for the runner's process-pool batch path (``jobs > 1``).
 
 The contract is strict: a parallel batch must produce *bit-identical*
 RunStats to the sequential path — same counters, same energy, same
@@ -8,8 +8,8 @@ histogram buckets — because the figures diff against golden numbers.
 import pytest
 
 from repro.config import Consistency, Protocol
-from repro.harness.parallel import ParallelRunner, _simulate_point
-from repro.harness.runner import ExperimentRunner, point_of
+from repro.harness.runner import (ExperimentRunner, _simulate_point,
+                                  point_of)
 from repro.stats.collector import RunStats
 
 WORKLOADS = ["BFS", "STN"]
@@ -20,8 +20,8 @@ def make_sequential(**kwargs):
 
 
 def make_parallel(jobs, **kwargs):
-    return ParallelRunner(jobs=jobs, preset="tiny", scale=0.3, seed=7,
-                          **kwargs)
+    return ExperimentRunner(jobs=jobs, preset="tiny", scale=0.3, seed=7,
+                            **kwargs)
 
 
 def test_worker_payload_rebuilds_to_runstats():
@@ -140,16 +140,6 @@ def test_progress_off_is_silent(capsys):
     runner = make_sequential(progress=False)
     runner.prefetch(ExperimentRunner.matrix_points(["BFS"]))
     assert capsys.readouterr().err == ""
-
-
-def test_default_jobs_is_cpu_count_without_warning(recwarn):
-    import os
-
-    runner = ParallelRunner(preset="tiny", scale=0.3, seed=7)
-    assert runner.jobs == (os.cpu_count() or 1)
-    # defaulting to the machine must not trip the clamp warning
-    assert not [w for w in recwarn.list
-                if issubclass(w.category, RuntimeWarning)]
 
 
 def test_workers_share_the_trace_cache_dir(tmp_path):

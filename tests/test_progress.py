@@ -111,12 +111,11 @@ def test_sequential_prefetch_heartbeats_carry_eta(tmp_path):
 
 
 def test_parallel_pool_heartbeats_carry_eta(tmp_path):
-    parallel = pytest.importorskip("repro.harness.parallel")
     import os
     if (os.cpu_count() or 1) < 2:
         pytest.skip("needs 2 cores for a real pool")
-    runner = parallel.ParallelRunner(jobs=2, preset="tiny", scale=0.2,
-                                     seed=7, progress=True)
+    runner = ExperimentRunner(jobs=2, preset="tiny", scale=0.2, seed=7,
+                              progress=True)
     stream = io.StringIO()
     with redirect_stderr(stream):
         runner.prefetch(ExperimentRunner.matrix_points(["BFS", "KM"]))

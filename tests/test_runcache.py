@@ -112,6 +112,30 @@ def test_cache_hit_returns_identical_stats(tmp_path):
     assert report["entries"] == 1 and report["bytes"] > 0
 
 
+def test_cache_hit_totals_the_same_energy_as_the_fresh_run(tmp_path):
+    """Stores do not keep the energy dict's order (the run cache writes
+    key-sorted JSON, the results db reads rows back in its own order)
+    and float addition is not associative: a stored result must sum
+    its energy in the fresh run's order."""
+    from repro.db.store import ResultsDB
+    from repro.workloads import ALL_NAMES
+
+    runner = ExperimentRunner(preset="tiny", scale=0.2, seed=7)
+    cache = RunCache(str(tmp_path / "cache"))
+    db = ResultsDB(str(tmp_path / "repro.db"))
+    for workload in ALL_NAMES:
+        for protocol in (Protocol.GTSC, Protocol.TC, Protocol.DISABLED):
+            fresh = runner.run(workload, protocol, Consistency.RC)
+            key = f"{workload}-{protocol.value}"
+            cache.put(key, fresh)
+            db.record(key, fresh, spec={"workload": workload},
+                      source="runner")
+            for stored in (cache.get(key), db.get_stats(key)):
+                assert list(stored.energy) == list(fresh.energy), key
+                assert stored.total_energy == fresh.total_energy, key
+    db.close()
+
+
 def test_corrupted_cache_file_is_a_miss(tmp_path):
     cache = RunCache(str(tmp_path))
     cache.put("k1", small_run())

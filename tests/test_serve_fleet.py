@@ -111,8 +111,7 @@ def test_lease_complete_roundtrip_resolves_the_submitter(tmp_path):
         assert result["stats"]["cycles"] == 42
         metrics = await call(client.metrics)
         snapshot = metrics["snapshot"]
-        assert snapshot["remote_leases"] == 1
-        assert snapshot["remote_results"] == 1
+        assert snapshot["leases"] == 1
         assert snapshot["executed"] == 1
         assert snapshot["jobs_done"] == 1
         # the remote wall time feeds the same latency histograms
@@ -259,9 +258,8 @@ def test_late_result_after_requeue_is_deduplicated(tmp_path):
                           fake_stats(1), 0.5) is True
         assert await call(client.complete, slow["id"], "slow",
                           fake_stats(1), 9.9) is False
-        assert server.scheduler.remote_results == 1
         assert server.scheduler.deduped_results == 1
-        assert server.scheduler.pool.executed == 1
+        assert server.scheduler.executed == 1
 
     fleet_test(tmp_path, body)
 
@@ -365,10 +363,13 @@ def test_dispatcher_restart_requeues_remote_leases(tmp_path):
     fleet_test(tmp_path, second)
 
 
-def test_fleet_worker_timeout_and_failure_reporting(tmp_path):
+@pytest.mark.parametrize("heartbeat_interval", [0.02, None])
+def test_fleet_worker_timeout_and_failure_reporting(tmp_path,
+                                                    heartbeat_interval):
     """A worker whose execution times out (or raises) reports fail;
     the dispatcher's retry policy then quarantines after the last
-    attempt."""
+    attempt.  The timeout fires on time even when the heartbeat
+    interval (default: a third of a 300 s lease) is far longer."""
     def hang(spec):
         time.sleep(10)
         return fake_stats()              # pragma: no cover
@@ -376,12 +377,16 @@ def test_fleet_worker_timeout_and_failure_reporting(tmp_path):
     async def body(server, call):
         client = ServeClient(port=server.port)
         worker = start_worker(server.port, "slow", execute=hang,
-                              timeout=0.1, heartbeat_interval=0.02)
+                              timeout=0.1,
+                              heartbeat_interval=heartbeat_interval)
+        started = time.monotonic()
         def submit():
             with pytest.raises(ServeError, match="JobTimeout"):
                 client.submit(dict(TINY))
         await call(submit)
+        assert time.monotonic() - started < 5
         assert worker.failed == 1 and worker.executed == 0
+        assert worker.timeouts == 1
         worker.stop()
 
     fleet_test(tmp_path, body, max_attempts=1)

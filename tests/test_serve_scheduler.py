@@ -1,8 +1,8 @@
 """Single-flight scheduling, retry/backoff, quarantine, backpressure.
 
-These tests drive the scheduler + worker pool directly (no TCP), with
-fake ``execute`` callables where timing matters and the real
-simulator where bit-identity matters.
+These tests drive the scheduler and its local workers directly (no
+TCP), with fake ``execute`` callables where timing matters and the
+real simulator where bit-identity matters.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from repro.harness.cache import RunCache
 from repro.serve import (Busy, JobStore, Quarantined, Scheduler,
                          execute_spec, make_spec, spec_key)
-from repro.serve.workers import WorkerPool
 from repro.stats.collector import RunStats
 
 TINY = make_spec("HS", preset="tiny", scale=0.1, seed=7)
@@ -129,6 +128,29 @@ def test_cache_hit_skips_the_queue(store, tmp_path):
         scheduler.stop()
 
 
+def test_local_lease_serves_a_key_already_in_the_store(store, tmp_path):
+    """A queued job whose result landed in the shared store before a
+    local worker leased it is completed from the store, not re-run."""
+    executions = []
+
+    def execute(spec):
+        executions.append(spec)
+        return fake_stats()
+
+    scheduler = make_scheduler(store, tmp_path=tmp_path,
+                               execute=execute, jobs=1)
+    submission = scheduler.submit(dict(TINY))
+    scheduler.cache.put(submission.key, fake_stats(7))
+    scheduler.start()
+    try:
+        assert submission.future.result(timeout=10).cycles == 7
+        assert scheduler.executed == 0 and not executions
+        assert scheduler.deduped_results == 1
+        assert store.get(submission.job_id).state == "done"
+    finally:
+        scheduler.stop()
+
+
 # ---------------------------------------------------------------------------
 # retry, quarantine, timeout
 # ---------------------------------------------------------------------------
@@ -151,7 +173,7 @@ def test_flaky_execution_retries_then_succeeds(store):
         stats = submission.future.result(timeout=10)
         assert stats.cycles == 42
         assert len(attempts) == 3
-        assert scheduler.pool.retried == 2
+        assert scheduler.retried == 2
         job = store.get(submission.job_id)
         assert job.state == "done" and job.attempts == 3
     finally:
@@ -223,8 +245,8 @@ def test_per_job_timeout_counts_and_retries(store):
         submission = scheduler.submit(dict(TINY))
         stats = submission.future.result(timeout=10)
         assert stats.cycles == 42
-        assert scheduler.pool.timeouts == 1
-        assert scheduler.pool.retried == 1
+        assert scheduler.snapshot()["timeouts"] == 1
+        assert scheduler.retried == 1
     finally:
         scheduler.stop()
 
@@ -279,7 +301,7 @@ def test_served_result_is_bit_identical_to_direct_run(store, tmp_path):
         for thread in threads:
             thread.join()
         results = [s.future.result(timeout=60) for s in submissions]
-        assert scheduler.pool.executed == 1     # exactly one simulation
+        assert scheduler.executed == 1     # exactly one simulation
         direct = execute_spec(dict(TINY))
         for result in results:
             assert result.to_dict() == direct.to_dict()
