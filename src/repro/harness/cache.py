@@ -165,9 +165,10 @@ class JsonFileCache:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir,
                                        suffix=".tmp")
             try:
+                # one string: json.dump streams many small encoder chunks
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(self._encode(value), handle,
-                              sort_keys=True)
+                    handle.write(json.dumps(self._encode(value),
+                                            sort_keys=True))
                 os.replace(tmp, self._path(key))
             except BaseException:
                 os.unlink(tmp)

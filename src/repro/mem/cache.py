@@ -19,6 +19,10 @@ invariant is ``_tags[i] == _lines[i].addr`` when slot ``i`` holds a
 valid line and ``-1`` otherwise, which holds because validity and tag
 only change inside this module (controllers mutate protocol state —
 versions, timestamps, dirty bits — never the tag).
+
+A slot's line is built on its first install (``_lines[i]`` is None
+until then) and is reused after that.  Readers touch only valid slots,
+and a full set has every way built, so no reader meets a None.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ class CacheArray:
         self.num_sets = num_sets
         self.assoc = assoc
         size = num_sets * assoc
-        self._lines: list[CacheLine] = [CacheLine() for _ in range(size)]
+        self._lines: list[Optional[CacheLine]] = [None] * size
         # packed parallel state: tag per slot (-1 = invalid way) and
         # replacement age per slot (larger = more recently used)
         self._tags: list[int] = [-1] * size
@@ -167,15 +171,6 @@ class CacheArray:
                         best_age = age
         return best
 
-    def victim_for(
-        self,
-        addr: int,
-        evictable: Optional[Callable[[CacheLine], bool]] = None,
-    ) -> Optional[CacheLine]:
-        """Line object view of :meth:`_victim_slot` (None when pinned)."""
-        slot = self._victim_slot(addr, evictable)
-        return None if slot < 0 else self._lines[slot]
-
     def allocate(
         self,
         addr: int,
@@ -199,6 +194,8 @@ class CacheArray:
             return None, None
         victim = self._lines[slot]
         evicted: Optional[CacheLine] = None
+        if victim is None:
+            victim = self._lines[slot] = CacheLine()
         if not victim.valid:
             self._free[addr % self.num_sets] -= 1
         else:

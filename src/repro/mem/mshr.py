@@ -19,7 +19,7 @@ class MSHRFullError(Exception):
 class MSHREntry:
     """Book-keeping for one outstanding miss."""
 
-    __slots__ = ("addr", "waiters", "issued", "meta")
+    __slots__ = ("addr", "waiters", "issued")
 
     def __init__(self, addr: int) -> None:
         self.addr = addr
@@ -27,8 +27,6 @@ class MSHREntry:
         self.waiters: list[Any] = []
         # True once a request has actually been sent to the next level
         self.issued = False
-        # controller scratch space (e.g. the wts sent with the request)
-        self.meta: dict = {}
 
 
 class MSHRTable:

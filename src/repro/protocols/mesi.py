@@ -329,11 +329,13 @@ class MESIL1Controller(L1ControllerBase):
 
     def _on_atomic_ack(self, msg: AtmAckD) -> None:
         pending = pop_pending(self._pending_atomics[msg.addr], msg.version)
-        self.machine.log.record_atomic(AtomicRecord(
-            warp_uid=pending.warp.uid, addr=msg.addr,
-            old_version=msg.old_version, new_version=pending.version,
-            logical_ts=0, epoch=0, issue_cycle=pending.issue_cycle,
-            complete_cycle=self.engine.now))
+        log = self.machine.log
+        if log.enabled:    # don't even build the record when disabled
+            log.atomics.append(AtomicRecord(
+                warp_uid=pending.warp.uid, addr=msg.addr,
+                old_version=msg.old_version, new_version=pending.version,
+                logical_ts=0, epoch=0, issue_cycle=pending.issue_cycle,
+                complete_cycle=self.engine.now))
         self._complete(pending.on_done)
 
     # -- local cache management -----------------------------------------------
@@ -368,16 +370,20 @@ class MESIL1Controller(L1ControllerBase):
     def _record_load(self, warp, addr, version, issue_cycle, hit):
         self.stats.hist.add("load_latency",
                             self.engine.now - issue_cycle)
-        self.machine.log.record_load(LoadRecord(
-            warp_uid=warp.uid, addr=addr, version=version, logical_ts=0,
-            epoch=0, issue_cycle=issue_cycle,
-            complete_cycle=self.engine.now, l1_hit=hit))
+        log = self.machine.log
+        if log.enabled:
+            log.loads.append(LoadRecord(
+                warp_uid=warp.uid, addr=addr, version=version, logical_ts=0,
+                epoch=0, issue_cycle=issue_cycle,
+                complete_cycle=self.engine.now, l1_hit=hit))
 
     def _record_store(self, warp, addr, version, issue_cycle, done):
         self.stats.hist.add("store_latency", done - issue_cycle)
-        self.machine.log.record_store(StoreRecord(
-            warp_uid=warp.uid, addr=addr, version=version, logical_ts=0,
-            epoch=0, issue_cycle=issue_cycle, complete_cycle=done))
+        log = self.machine.log
+        if log.enabled:
+            log.stores.append(StoreRecord(
+                warp_uid=warp.uid, addr=addr, version=version, logical_ts=0,
+                epoch=0, issue_cycle=issue_cycle, complete_cycle=done))
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ class TCL2Bank(L2BankBase):
     """
 
     __slots__ = ("strong", "_blocked", "_handlers", "_tc_lease",
-                 "_lease_gate", "_lease_free", "_set_lines", "_free_ways",
+                 "_lease_gate", "_lease_free", "_free_ways",
                  "_where_map", "_set_min")
 
     def __init__(self, bank_id: int, machine: "Machine") -> None:
@@ -395,12 +395,7 @@ class TCL2Bank(L2BankBase):
         # allocate a closure per attempt (_lease_gate carries `now`)
         self._lease_gate = 0
         self._lease_free = self._lease_expired_and_unblocked
-        # per-set line-object views for _retry_fill's raw probe
         cache = self.cache
-        lines = cache._lines
-        assoc = cache.assoc
-        self._set_lines = [lines[s * assoc:(s + 1) * assoc]
-                           for s in range(cache.num_sets)]
         self._free_ways = cache._free
         self._where_map = cache._where
         # cached lower bound on each set's minimum lease expiry: while
@@ -539,15 +534,18 @@ class TCL2Bank(L2BankBase):
         not write-blocked?  Only then is the full install path taken,
         so counters and timing match the naive retry loop bit for bit.
         """
-        set_index = addr % self.cache.num_sets
+        cache = self.cache
+        set_index = addr % cache.num_sets
         if not self._free_ways[set_index] \
                 and addr not in self._where_map:
             now = self.engine.now
             if self._set_min[set_index] > now:
                 pinned = True      # every lease provably still running
             else:
-                lease_min = min([line.expiry
-                                 for line in self._set_lines[set_index]])
+                # a full set: every way holds a built, valid line
+                base = set_index * cache.assoc
+                ways = cache._lines[base:base + cache.assoc]
+                lease_min = min([line.expiry for line in ways])
                 if lease_min > now:
                     # every lease still running; remember the exact min
                     # so the remaining retries of this stall are O(1)
@@ -558,7 +556,7 @@ class TCL2Bank(L2BankBase):
                     # whether the expired line is also unblocked
                     blocked = self._blocked
                     pinned = True
-                    for line in self._set_lines[set_index]:
+                    for line in ways:
                         if line.expiry <= now \
                                 and line.addr not in blocked:
                             pinned = False

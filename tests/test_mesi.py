@@ -282,3 +282,21 @@ def test_sharing_costs_mesi_invalidation_traffic():
     stats = GPU(mesi).run(kernel)
     assert stats.counter("dir_invalidations") \
         + stats.counter("dir_recalls") > 0
+
+
+def test_access_log_off_records_nothing_and_keeps_the_stats():
+    """The L1 builds no access records with the log off, and the log
+    never feeds back into timing."""
+    warps = random_kernel(3, warps=4, length=50, lines=6).warp_traces
+    warps += [[atomic(2), store(3), fence(), atomic(2), load(3), fence()]]
+    kernel = Kernel("mix", warps)
+    config = GPUConfig.tiny(protocol=Protocol.MESI)
+    logged = GPU(config)
+    silent = GPU(config, record_accesses=False)
+    on = logged.run(kernel)
+    off = silent.run(kernel)
+    log = logged.machine.log
+    assert log.loads and log.stores and log.atomics
+    log = silent.machine.log
+    assert (log.loads, log.stores, log.atomics) == ([], [], [])
+    assert off.to_dict() == on.to_dict()

@@ -7,12 +7,14 @@ home directory, the home directory's capacity summarization, the
 results), and bit-reproducibility of cluster runs.
 """
 
+import gc
 import random
 
 import pytest
 
 from repro.config import Consistency, GPUConfig, Protocol
 from repro.gpu.gpu import GPU, make_gpu
+from repro.mem.cache import CacheLine
 from repro.multigpu import HomeDirectory, MultiGpuGPU
 from repro.stats import names
 from repro.workloads import MULTIGPU_NAMES, build_workload
@@ -135,6 +137,31 @@ def test_multigpu_workloads_complete_on_the_cluster(name, protocol):
     stats = make_gpu(config, record_accesses=False).run(kernel)
     assert stats.counter("warps_retired") == kernel.num_warps
     assert stats.counter("interlink_bytes") > 0
+
+
+def _live_cache_lines():
+    return sum(isinstance(obj, CacheLine) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("protocol", [
+    Protocol.GTSC, Protocol.TC, Protocol.MESI, Protocol.DISABLED])
+def test_fresh_eight_gpu_cluster_holds_no_cache_lines(protocol):
+    """Lines are built on a slot's first install, not at machine build."""
+    config = GPUConfig.small(protocol=protocol, n_gpus=8)
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_cache_lines()
+        cluster = MultiGpuGPU(config)
+        assert _live_cache_lines() == before
+    finally:
+        gc.enable()
+    # DISABLED has no L1 array; every protocol has L2 arrays
+    caches = [unit.cache for machine in cluster.machines
+              for unit in machine.l1s + machine.l2_banks
+              if hasattr(unit, "cache")]
+    assert len(caches) >= 8 * config.num_l2_banks
+    assert all(line is None for cache in caches for line in cache._lines)
 
 
 def test_cluster_emits_only_registered_stat_names():

@@ -87,6 +87,84 @@ def test_cache_matches_reference_lru_model(num_sets, assoc, ops):
         assert actual == expected
 
 
+@settings(max_examples=80)
+@given(
+    st.integers(min_value=1, max_value=4),     # sets
+    st.integers(min_value=1, max_value=4),     # assoc
+    st.lists(st.tuples(st.sampled_from(["alloc", "alloc_pinned", "lookup",
+                                        "invalidate", "flush"]),
+                       st.integers(0, 30)), max_size=120),
+)
+def test_cache_slots_match_reference_slot_model(num_sets, assoc, ops):
+    """Slot-exact model of the array: first invalid way, else the LRU
+    evictable way; lines are built on a slot's first install only."""
+    cache = CacheArray(num_sets, assoc)
+    size = num_sets * assoc
+    tags = [None] * size
+    ages = [0] * size
+    versions = [0] * size
+    installed = set()
+    tick = 0
+
+    def pinned(addr):
+        return addr % 3 == 0
+
+    def evictable(line):
+        return not pinned(line.addr)
+
+    for step, (op, addr) in enumerate(ops, start=1):
+        base = (addr % num_sets) * assoc
+        ways = range(base, base + assoc)
+        held = next((s for s in ways if tags[s] == addr), None)
+        if op in ("alloc", "alloc_pinned"):
+            line, evicted = cache.allocate(
+                addr, evictable if op == "alloc_pinned" else None)
+            free = [s for s in ways if tags[s] is None]
+            slot = free[0] if free else min(
+                (s for s in ways if op == "alloc" or not pinned(tags[s])),
+                key=ages.__getitem__, default=None)
+            if held is not None:
+                tick += 1
+                ages[held] = tick
+                assert evicted is None
+                assert (line.addr, line.version) == (addr, versions[held])
+            elif slot is None:
+                assert (line, evicted) == (None, None)
+            else:
+                if free:
+                    assert evicted is None
+                else:
+                    assert (evicted.addr, evicted.version, evicted.valid) \
+                        == (tags[slot], versions[slot], True)
+                tick += 1
+                tags[slot] = addr
+                ages[slot] = tick
+                installed.add(slot)
+                assert line.valid and (line.addr, line.version) == (addr, 0)
+                line.version = versions[slot] = step
+        elif op == "lookup":
+            line = cache.lookup(addr)
+            if held is None:
+                assert line is None
+            else:
+                tick += 1
+                ages[held] = tick
+                assert (line.addr, line.version) == (addr, versions[held])
+        elif op == "invalidate":
+            assert cache.invalidate(addr) == (held is not None)
+            if held is not None:
+                tags[held] = None
+        else:
+            assert cache.flush() == size - tags.count(None)
+            tags = [None] * size
+        assert [(l.addr, l.version) for l in cache.lines()] == \
+            [(tags[s], versions[s]) for s in range(size)
+             if tags[s] is not None]
+        assert cache.occupancy() == size - tags.count(None)
+        built = sum(line is not None for line in cache._lines)
+        assert built == len(installed)
+
+
 # ---------------------------------------------------------------------------
 # MSHR: occupancy never exceeds capacity; drain conserves waiters
 # ---------------------------------------------------------------------------

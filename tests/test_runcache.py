@@ -7,6 +7,7 @@ exact, (b) the key covers every parameter that changes the result, and
 
 import dataclasses
 import enum
+import io
 import json
 import os
 
@@ -110,6 +111,19 @@ def test_cache_hit_returns_identical_stats(tmp_path):
     report = cache.stats()
     assert report["hits"] == 1 and report["misses"] == 0
     assert report["entries"] == 1 and report["bytes"] > 0
+
+
+def test_entry_file_is_one_sorted_json_dumps_of_the_payload(tmp_path):
+    cache = RunCache(str(tmp_path))
+    stats = small_run()
+    cache.put("k1", stats)
+    with open(tmp_path / "k1.json", encoding="utf-8") as handle:
+        written = handle.read()
+    assert written == json.dumps(stats.to_dict(), sort_keys=True)
+    # the same bytes the streaming json.dump would have produced
+    streamed = io.StringIO()
+    json.dump(stats.to_dict(), streamed, sort_keys=True)
+    assert written == streamed.getvalue()
 
 
 def test_cache_hit_totals_the_same_energy_as_the_fresh_run(tmp_path):

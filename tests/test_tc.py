@@ -171,6 +171,45 @@ def test_tc_strong_inclusion_stalls_replacement():
     assert done == []  # still stalled behind the pinned set
 
 
+def test_tc_lease_stall_probe_waits_for_the_first_expired_way():
+    """The raw probe in ``_retry_fill`` takes the pinned branch while
+    every way of the full set is leased (caching the exact minimum
+    expiry), then the expired-way scan installs over the first way
+    whose lease ran out."""
+    config = GPUConfig.tiny(protocol=Protocol.TC, consistency=Consistency.SC,
+                            tc_lease=2_000)
+    machine = Machine(config)
+    build_protocol(machine)
+    l1 = machine.l1s[0]
+    bank = machine.l2_banks[0]
+    stride = config.l2_sets * config.num_l2_banks
+    warp = Warp(0, [])
+    ways = [k * stride for k in range(config.l2_assoc)]
+    for addr in ways:
+        l1.load(warp, addr, lambda: None)
+        machine.engine.run()
+    leases = {addr: bank.cache.lookup(addr, touch=False).expiry
+              for addr in ways}
+    first = min(leases, key=leases.get)
+    lease_min = leases[first]
+    assert lease_min > machine.engine.now
+    done, cb = tracker()
+    extra = config.l2_assoc * stride
+    l1.load(warp, extra, cb)
+    machine.engine.run(until=lease_min - 1)
+    stalls = machine.stats.get("l2_evict_stall")
+    assert stalls > 1 and done == []
+    assert bank._set_min[0] == lease_min      # pinned branch's exact min
+    machine.engine.run(max_events=10_000)
+    assert done == [True]
+    # no retry at or after the first expiry stalled: the scan found it
+    assert machine.stats.get("l2_evict_stall") == stalls
+    assert bank.cache.lookup(first, touch=False) is None
+    assert bank.cache.lookup(extra, touch=False) is not None
+    assert all(bank.cache.lookup(a, touch=False) is not None
+               for a in ways if a != first)
+
+
 def test_tc_end_to_end_mixed_kernel_completes():
     for consistency in (Consistency.SC, Consistency.RC):
         config = GPUConfig.tiny(protocol=Protocol.TC,
